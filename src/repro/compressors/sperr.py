@@ -23,7 +23,7 @@ class SperrCompressor(Compressor):
         self,
         chunk_shape: int | tuple[int, ...] | None = None,
         wavelet: str = "cdf97",
-        lossless_method: str = "auto",
+        lossless_method: str = "stored",
         executor: str = "batch",
         workers: int | None = None,
     ) -> None:

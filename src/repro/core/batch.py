@@ -41,7 +41,7 @@ def compress_chunks_batched(
     *,
     wavelet: str = "cdf97",
     levels: int | None = None,
-    lossless_method: str = "auto",
+    lossless_method: str = "stored",
 ) -> list[tuple[bytes, ChunkReport]]:
     """Compress every chunk of ``data`` via shape-grouped stacked kernels.
 

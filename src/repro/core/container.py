@@ -244,7 +244,7 @@ def compress(
     chunk_shape: int | tuple[int, ...] | None = None,
     wavelet: str = "cdf97",
     levels: int | None = None,
-    lossless_method: str = "auto",
+    lossless_method: str = "stored",
     executor: str = "batch",
     workers: int | None = None,
     trace: bool = False,
@@ -257,6 +257,9 @@ def compress(
     The default ``batch`` executor runs same-shaped chunks through
     stacked numpy kernels in-process (byte-identical to ``serial``);
     ``thread``/``process`` fan chunks out across workers instead.
+    ``lossless_method`` frames each SPERR chunk stream; the default
+    ``"stored"`` skips the final pass, whose ~2% saving on SPECK output
+    costs far more at decode (docs/lossless.md).
     ``trace=True`` collects a per-stage span trace for this call and
     attaches it as ``result.trace``; when an ambient
     :class:`~repro.obs.trace` is already active, spans flow to it

@@ -142,8 +142,11 @@ def truncate(payload: bytes, fraction: float) -> bytes:
             continue
         with decode_guard("sperr"):
             raw = lossless.decompress(stream)
+        # Keep a stored stream stored: re-running ``auto`` here would
+        # bring the final-pass decode cost back on every truncated chunk.
+        method = "stored" if stream[0] == 0 else "auto"
         new_streams.append(
-            lossless.compress(truncate_chunk_stream(raw, fraction), method="auto")
+            lossless.compress(truncate_chunk_stream(raw, fraction), method=method)
         )
     return build_container(
         parsed.rank,

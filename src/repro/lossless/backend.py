@@ -1,18 +1,20 @@
 """Lossless backend: the ZSTD-substitute final pass.
 
-Real SPERR pipes its concatenated coefficient + outlier bitstreams through
-ZSTD (paper Sec. V).  With no external compressors available we provide a
-from-scratch composite backend with several methods and an ``auto`` mode
-that keeps whichever candidate is smallest — mirroring the practical effect
-of the ZSTD pass (a small, data-dependent saving on top of the entropy-dense
-SPECK output, a larger one on structured sections such as code books).
+Real SPERR (up to v0.6.2) piped its concatenated coefficient + outlier
+bitstreams through ZSTD (paper Sec. V).  With no external compressors
+available we provide a from-scratch composite backend with several
+methods and an ``auto`` mode that keeps whichever candidate is smallest.
+On entropy-dense SPECK output that saves only ~2% and costs far more to
+decode, so SPERR chunk streams are ``stored`` by default (as upstream
+SPERR dropped its ZSTD stage); ``auto`` is opt-in for chunks and stays
+the choice for structured sections such as mask blobs and baseline code
+books, where it saves real bytes.
 
 The one-byte method tag at the front makes every payload self-describing.
-Tags 0–5 are the legacy formats and stay decodable forever; tag 6 is the
-vectorized static range coder that replaced the per-bit adaptive coder on
-the encode side (``method="ac"`` still encodes tag 5 for compatibility
-experiments, but ``auto`` never picks it).  docs/lossless.md documents the
-formats and the selection policy.
+Tags 0–6 stay decodable forever.  Tag 5 (the per-bit adaptive
+arithmetic coder) is decode-only: its encoder and ``method="ac"`` are
+gone, and tag 6, the vectorized static range coder, replaced it.
+docs/lossless.md documents the formats and the selection policy.
 
 ``auto`` prices candidates cheapest-first and hands each coder the current
 best size as an abort budget, so losing candidates stop early instead of
@@ -48,7 +50,7 @@ _TAG_LZ77 = 4
 _TAG_AC = 5
 _TAG_RC = 6
 
-METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "rc", "auto")
+METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "rc", "auto")
 
 #: ``auto`` hands payloads up to this size to the LZ77 probe (the
 #: vectorized matcher runs ~1 MiB in well under a second; the old
@@ -166,8 +168,6 @@ def _compress_explicit(data: bytes, method: str) -> bytes:
         return bytes([tag]) + _huffman_pack(data, arr, freqs, code)
     if method == "lz77":
         return bytes([_TAG_LZ77]) + lz77.encode(data)
-    if method == "ac":
-        return bytes([_TAG_AC]) + arith.encode(data)
     assert method == "rc"
     return bytes([_TAG_RC]) + rc.encode(data)
 

@@ -112,7 +112,11 @@ def calibrate_step(values: np.ndarray, target_rms: float, margin: float = 0.9) -
     amax = float(np.abs(values).max(initial=0.0))
     if amax == 0.0:
         return 1.0
-    lo, hi = target_rms * 1e-3, amax * 2.0
+    # A target far below the data's magnitude (near-constant input, whose
+    # range is rounding noise) would drive the step past the integer cap;
+    # the smallest representable step is then the best achievable.
+    lo = max(target_rms * 1e-3, 2.0 * amax / float(MAX_INT_MAGNITUDE))
+    hi = amax * 2.0
     for _ in range(60):
         mid = float(np.sqrt(lo * hi))
         mags, neg = integerize(values, mid)

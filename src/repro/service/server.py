@@ -244,8 +244,6 @@ class CompressionService:
         """Stop accepting, cancel in-flight work, and release workers."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -253,11 +251,17 @@ class CompressionService:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
+        # Connections are cancelled before wait_closed(): from Python
+        # 3.12 it also waits for every open connection, so an idle
+        # client would otherwise block shutdown.
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
@@ -382,6 +386,11 @@ class CompressionService:
                 )
                 self._conn_tasks.add(t)
                 t.add_done_callback(self._conn_tasks.discard)
+        except asyncio.CancelledError:
+            # stop() cancels connections idling in _read_frame; ending
+            # normally keeps asyncio's stream callback from logging the
+            # cancellation as an unhandled task error.
+            pass
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)

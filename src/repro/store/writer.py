@@ -53,7 +53,7 @@ class StoreWriter:
         chunk_shape: int | tuple[int, ...] | None = None,
         wavelet: str = "cdf97",
         levels: int | None = None,
-        lossless_method: str = "auto",
+        lossless_method: str = "stored",
         shard_bytes: int = DEFAULT_SHARD_BYTES,
         executor: str = "serial",
         workers: int | None = None,

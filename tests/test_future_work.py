@@ -87,6 +87,19 @@ class TestTruncate:
         recon = repro.decompress(truncate(payload, 0.3))
         assert recon.shape == field.shape
 
+    def test_stored_streams_stay_stored(self, field, payload):
+        """Truncating a default (stored-stream) payload must not bring the
+        lossless final pass back: the cut stream keeps tag 0, where
+        ``auto`` would pick Huffman for it."""
+        from repro.core.container import parse_container
+
+        assert [s[0] for s in parse_container(payload).streams] == [0]
+        cut = truncate(payload, 0.5)
+        assert [s[0] for s in parse_container(cut).streams] == [0]
+        recon = repro.decompress(cut)
+        assert recon.shape == field.shape
+        assert np.all(np.isfinite(recon))
+
     def test_invalid_fraction_rejected(self, payload):
         for frac in (0.0, -0.5, 1.5):
             with pytest.raises(InvalidArgumentError):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError
-from repro.quant import MAX_INT_MAGNITUDE, dequantize, integerize, quantize_error_bound
+from repro.quant import (
+    MAX_INT_MAGNITUDE,
+    calibrate_step,
+    dequantize,
+    integerize,
+    quantize_error_bound,
+)
 
 
 class TestIntegerize:
@@ -103,3 +109,15 @@ def test_sign_preservation_property(values, q):
     rec = dequantize(mags, neg, q)
     coded = mags > 0
     assert np.all(np.sign(rec[coded]) == np.sign(vals[coded]))
+
+
+def test_calibrate_step_stays_representable_for_unreachable_targets():
+    """A near-constant field's range is rounding noise, so a PSNR target
+    relative to it asks for an RMS far below float precision; the step
+    must bottom out where integerize still accepts it."""
+    vals = np.array([8.7, 3e-15, -1.6e-16, 1.6e-16])
+    q = calibrate_step(vals, 7e-21)
+    assert q > 0
+    mags, neg = integerize(vals, q)
+    err = np.abs(vals - dequantize(mags, neg, q)).max()
+    assert err <= q

@@ -232,11 +232,17 @@ _LOSSLESS_METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "r
 
 @pytest.fixture(scope="module")
 def lossless_payloads(field):
-    """One clean payload per lossless method over SPECK-like bytes."""
+    """One clean payload per lossless method over SPECK-like bytes; the
+    decode-only ``ac`` tag is fuzzed through its golden fixture."""
     from repro import lossless
 
     raw = field.astype(np.float32).tobytes()[: 1 << 14]
-    return {m: lossless.compress(raw, method=m) for m in _LOSSLESS_METHODS}
+    payloads = {
+        m: lossless.compress(raw, method=m) for m in _LOSSLESS_METHODS if m != "ac"
+    }
+    golden = Path(__file__).parent / "data" / "lossless_ac.bin"
+    payloads["ac"] = golden.read_bytes()
+    return payloads
 
 
 class TestLosslessFaultInjection:

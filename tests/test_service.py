@@ -21,6 +21,7 @@ pinned separately in ``test_service_concurrency.py``.
 from __future__ import annotations
 
 import asyncio
+import logging
 import socket
 import struct
 
@@ -484,6 +485,18 @@ class TestServerProtocolAbuse:
             response = sock.recv(1 << 16)
         msg = parse_message(response)
         assert msg.kind == MSG_ERROR and msg.header["code"] == "protocol"
+
+    def test_stop_with_idle_connection_logs_nothing(self, caplog):
+        """stop() cancels a connection blocked reading its next frame;
+        the handler must end quietly, not as an asyncio task error."""
+        caplog.set_level(logging.DEBUG)
+        handle = serve_in_thread(None)
+        with socket.create_connection((handle.host, handle.port), timeout=10.0):
+            with ServiceClient(handle.host, handle.port) as c:
+                assert c.ping()  # the idle connection is accepted by now
+            handle.stop()
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [], [r.getMessage() for r in errors]
 
     def test_mid_frame_stall_times_out(self, store_path):
         config = ServiceConfig(body_timeout_s=0.2)
